@@ -29,7 +29,7 @@ same-seed-same-schedule across ``--jobs`` and ``PYTHONHASHSEED``:
   (``as_completed``, ``imap_unordered``) instead of submission order.
 
 **RC2xx — engine contracts.**  The freeze-then-certify contention
-protocol (see ``docs/contention.md``) and the backend pin:
+protocol (see ``docs/contention.md``):
 
 * RC201 — contended :class:`CommCostCache` built without a frozen
   :class:`LinkOccupancy` snapshot (missing, or a bare empty ledger)
@@ -40,11 +40,7 @@ protocol (see ``docs/contention.md``) and the backend pin:
 * RC203 — a cache/ledger *construction* (``CommCostCache``,
   ``for_graph``, ``from_assignment``) inside a ``for``/``while``
   loop — O(edges) work per iteration; the contention fixpoint's
-  deliberate per-round reprice carries a documented suppression;
-* RC204 — kernel-backend branching (``BACKEND``/``np_kernels``/
-  ``py_kernels`` references, ``REPRO_KERNELS`` env reads, guarded
-  numpy imports) outside ``repro.core.kernels`` (the ``repro.qa``
-  backend-agreement oracles are allowlisted).
+  deliberate per-round reprice carries a documented suppression.
 
 Like the lint head, files are parsed, never imported; suppressions use
 the shared grammar in :mod:`repro.analyze.suppress` (this head owns
@@ -118,12 +114,6 @@ REMAP_PRIMITIVES = frozenset({
 #: Calls that mark a function as a worker-merge boundary (RD102).
 MERGE_BOUNDARY_CALLS = frozenset({"merge_snapshot", "publish_stats"})
 
-#: The one module allowed to branch on the kernel backend, and the
-#: oracle package that deliberately compares both backends (RC204).
-KERNEL_MODULE = "repro.core.kernels"
-KERNEL_ALLOWED_PACKAGES = (KERNEL_MODULE, "repro.qa")
-KERNEL_BACKEND_NAMES = frozenset({"BACKEND", "np_kernels", "py_kernels"})
-
 #: Besides the lint's global-state draws, these are per-process entropy
 #: sources for RD101's taint seeding.
 _ENTROPY_CALLS = frozenset({"uuid4", "urandom", "token_bytes", "token_hex"})
@@ -175,8 +165,6 @@ class FunctionSummary:
     unfrozen_pricing: list[tuple[int, str]] = field(default_factory=list)
     #: (line, what) cache constructions inside a loop (RC203)
     hot_ctors: list[tuple[int, str]] = field(default_factory=list)
-    #: (line, message) backend branching outside kernels (RC204)
-    backend_refs: list[tuple[int, str]] = field(default_factory=list)
     #: (line, message) clock-tainted argument into an entry point (RD103a)
     clock_into_entry: list[tuple[int, str]] = field(default_factory=list)
     #: (line, kind, sink, candidate targets) payload/priority flows (RD101)
@@ -497,17 +485,6 @@ class _Scanner:
                 if kw.arg == "comm" and isinstance(kw.value, ast.Name):
                     s.remap_uses.append((line, kw.value.id))
 
-        # RC204: REPRO_KERNELS env pin read outside kernels ---------------
-        if not _in_pkg(self.mod.module, KERNEL_ALLOWED_PACKAGES):
-            probe = None
-            if name in ("get", "getenv") and node.args:
-                probe = node.args[0]
-            if (probe is not None and isinstance(probe, ast.Constant)
-                    and probe.value == "REPRO_KERNELS"):
-                s.backend_refs.append((line, (
-                    "REPRO_KERNELS consulted outside the kernels module"
-                )))
-
     # -- statement walk ----------------------------------------------------
 
     def _scan_expr(self, expr: ast.expr | None, scope: _Scope) -> None:
@@ -524,14 +501,6 @@ class _Scanner:
                     node.lineno,
                     f"{'.'.join(chain)}[...] reads the environment",
                 ))
-                if (isinstance(node.slice, ast.Constant)
-                        and node.slice.value == "REPRO_KERNELS"
-                        and not _in_pkg(self.mod.module,
-                                        KERNEL_ALLOWED_PACKAGES)):
-                    scope.summary.backend_refs.append((node.lineno, (
-                        "REPRO_KERNELS consulted outside the kernels "
-                        "module"
-                    )))
             elif isinstance(node, (ast.Name, ast.Attribute)):
                 chain = _dotted(node)
                 if chain:
@@ -539,24 +508,10 @@ class _Scanner:
                     target = self._known(resolved)
                     if target:
                         scope.summary.targets.add(target)
-                    if resolved:
-                        self._check_backend_ref(chain, resolved,
-                                                node, scope)
             if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
                                  ast.GeneratorExp)):
                 for gen in node.generators:
                     self._check_iteration(gen.iter, node.lineno, scope)
-
-    def _check_backend_ref(self, chain: list[str], target: str,
-                           node: ast.AST, scope: _Scope) -> None:
-        if _in_pkg(self.mod.module, KERNEL_ALLOWED_PACKAGES):
-            return
-        base, _, attr = target.rpartition(".")
-        if attr in KERNEL_BACKEND_NAMES and base.endswith("core.kernels"):
-            scope.summary.backend_refs.append((node.lineno, (
-                f"{'.'.join(chain)} branches on the kernel backend "
-                "outside the kernels module"
-            )))
 
     def _check_iteration(self, iter_expr: ast.expr, line: int,
                          scope: _Scope) -> None:
@@ -700,7 +655,6 @@ class _Scanner:
             self._scan_stmts(stmt.body, scope)
             return
         if isinstance(stmt, ast.Try):
-            self._check_guarded_numpy(stmt, scope)
             self._scan_stmts(stmt.body, scope)
             for handler in stmt.handlers:
                 self._scan_stmts(handler.body, scope)
@@ -711,28 +665,6 @@ class _Scanner:
         for child in ast.iter_child_nodes(stmt):
             if isinstance(child, ast.expr):
                 self._scan_expr(child, scope)
-
-    def _check_guarded_numpy(self, stmt: ast.Try, scope: _Scope) -> None:
-        if _in_pkg(self.mod.module, KERNEL_ALLOWED_PACKAGES):
-            return
-        catches_import = any(
-            any(n in ("ImportError", "ModuleNotFoundError")
-                for n in _dotted(h.type)[-1:])
-            for h in stmt.handlers if h.type is not None
-        )
-        if not catches_import:
-            return
-        for inner in stmt.body:
-            mods: list[str] = []
-            if isinstance(inner, ast.Import):
-                mods = [a.name for a in inner.names]
-            elif isinstance(inner, ast.ImportFrom):
-                mods = [inner.module or ""]
-            if any(m == "numpy" or m.startswith("numpy.") for m in mods):
-                scope.summary.backend_refs.append((inner.lineno, (
-                    "try/except-guarded numpy import outside the "
-                    "kernels module duplicates the backend pin"
-                )))
 
     # -- scope orchestration ----------------------------------------------
 
@@ -950,8 +882,6 @@ class FlowProgram:
                 emit("RC202", s, line, msg)
             for line, what in s.hot_ctors:
                 emit("RC203", s, line, what)
-            for line, msg in s.backend_refs:
-                emit("RC204", s, line, msg)
 
         # one finding per (code, file, line)
         seen: set[tuple[str, str, int]] = set()

@@ -10,18 +10,28 @@ communication cost model —
     CB(v) + d(e) * L  >=  CE(u) + M(PE(u), PE(v); c(e)) + 1
 
 with ``CE(u) = CB(u) + duration(u) - 1`` and
-``M = comm_model.cost(arch.hops(PE(u), PE(v)), c(e))``.  This is the
-third independent implementation of the criterion (after the validator
-and the qa design-criterion oracle), so a schedule that certifies here
-is legal by an implementation that shares no code with the pipeline
-that produced it.
+``M = comm_model.cost(arch.hops(PE(u), PE(v)), c(e))``.  Given a frozen
+:class:`~repro.arch.contention.LinkOccupancy` and the contention model
+that priced it, ``M`` is the contended price instead:
+``model.price(base, load)`` with ``load`` the busiest link's ledger
+entry along the deterministic route (and ``M = 0`` when ``base`` is 0).
+
+This is the one independent re-derivation of the criterion outside the
+validator, so a schedule that certifies here is legal by an
+implementation that shares no code with the pipeline that produced it:
+neither the engine's cost cache nor the validator's edge walk.  The qa
+``design-criterion`` and ``contention-legal`` properties call it.
 """
 
 from __future__ import annotations
 
 from repro.analyze.diagnostics import Diagnostic
 from repro.analyze.rules import make
+from repro.arch.comm import ContentionModel
+from repro.arch.contention import LinkOccupancy
+from repro.arch.routing import route
 from repro.arch.topology import Architecture
+from repro.errors import AnalysisError
 from repro.graph.csdfg import CSDFG
 from repro.schedule.table import ScheduleTable
 
@@ -34,6 +44,8 @@ def certify_schedule(
     schedule: ScheduleTable,
     *,
     pipelined_pes: bool = False,
+    model: ContentionModel | None = None,
+    occupancy: LinkOccupancy | None = None,
 ) -> list[Diagnostic]:
     """All RA4xx findings of ``schedule`` for ``graph`` on ``arch``.
 
@@ -41,7 +53,14 @@ def certify_schedule(
     clauses of the DESIGN §1 criterion at its recorded length.  A
     single RA405 *info* finding may accompany a clean certificate when
     the same placements stay legal at a smaller length.
+
+    ``occupancy=None`` certifies under contention-free pricing.  A
+    frozen ``occupancy`` prices clause 2 under ``model`` (required
+    then) against that ledger's per-link loads.
     """
+    if occupancy is not None and model is None:
+        raise AnalysisError("certify_schedule: occupancy= needs model=")
+    loads = occupancy.loads if occupancy is not None else None
     out: list[Diagnostic] = []
 
     # completeness ------------------------------------------------------
@@ -123,6 +142,16 @@ def certify_schedule(
         pu, pv = placements[src], placements[dst]
         ce_u = pu.start + pu.duration - 1
         m = arch.comm_model.cost(arch.hops(pu.pe, pv.pe), edge.volume)  # repro-lint: disable=RL103 (independent re-derivation)
+        if loads is not None and m != 0:
+            path = route(arch, pu.pe, pv.pe)
+            load = max(
+                (
+                    loads.get((min(a, b), max(a, b)), 0)
+                    for a, b in zip(path, path[1:])
+                ),
+                default=0,
+            )
+            m = model.price(m, load)
         if pv.start + edge.delay * L < ce_u + m + 1:
             out.append(make(
                 "RA403",

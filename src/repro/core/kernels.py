@@ -1,4 +1,4 @@
-"""Array-at-a-time kernels for the fast path (numpy-optional).
+"""Array-at-a-time kernels for the fast path.
 
 The thousand-node scale tier (``repro.perf.scale``) showed three
 python-level loops dominating the profile: communication-cost row
@@ -6,25 +6,14 @@ construction (:mod:`repro.arch.cache`), the batch PSL edge-bound
 evaluation (:class:`repro.core.psl.PSLTracker.refresh`) and the per-PE
 anticipation folds of the remapping slot search
 (:func:`repro.core.remapping._find_spot`).  This module provides each
-of them as an array-at-a-time kernel with **two interchangeable
-backends**:
+of them as one plain function over flat sequences, so the callers do a
+single gather and hand the whole edge/PE axis over at once.
 
-* ``numpy`` — vectorised over the edge/PE axis, used automatically
-  when numpy imports;
-* ``python`` — a dependency-free fallback with *identical* outputs.
-
-The backend is selected **once, at import time**: ``REPRO_KERNELS=python``
-or ``REPRO_KERNELS=numpy`` in the environment forces a backend
-(forcing numpy without numpy installed is a hard error — a silent
-fallback would defeat the dual-backend equality tests), anything else
-auto-detects.  Both implementations stay importable
-(``py_kernels`` / ``np_kernels``) so the parametrized suite in
-``tests/unit/test_batch_kernels.py`` and the ``kernels-agree`` fuzz
-property can pin them exactly equal on the same inputs.
-
-All arithmetic is integer-exact in both backends: ceil division is
-``-(-a // b)``, which numpy's int64 ``//`` matches elementwise, so
-"equal" means ``==`` on every element, never approximate.
+All arithmetic is integer-exact: ceil division is ``-(-a // b)``.
+``tests/unit/test_batch_kernels.py`` pins each kernel on literal
+values, and ``tests/integration/test_fastpath_equivalence.py`` pins
+that the engines built on them schedule exactly like the reference
+engine.
 
 Keep per-node python loops out of this module — ``repro lint`` rule
 RL108 flags iteration over ``graph.nodes()``/``graph.edges()`` here;
@@ -33,48 +22,12 @@ kernels take flat sequences, callers do the (single) gather.
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Sequence
 
-from repro.errors import ReproError
-
-__all__ = [
-    "BACKEND",
-    "BACKENDS",
-    "comm_cost_row",
-    "edge_bounds",
-    "fold_max",
-    "fold_min",
-    "py_kernels",
-    "np_kernels",
-]
-
-#: The selectable backend names.
-BACKENDS = ("python", "numpy")
-
-try:  # pragma: no cover - exercised via both-backend tests
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy-free environments
-    _np = None
-
-_forced = os.environ.get("REPRO_KERNELS", "").strip().lower()
-if _forced and _forced not in BACKENDS:
-    raise ReproError(
-        f"REPRO_KERNELS must be one of {BACKENDS}, got {_forced!r}"
-    )
-if _forced == "python":
-    _np = None
-elif _forced == "numpy" and _np is None:
-    raise ReproError("REPRO_KERNELS=numpy but numpy is not importable")
-
-#: The backend active in this process ("numpy" or "python").
-BACKEND = "python" if _np is None else "numpy"
+__all__ = ["comm_cost_row", "edge_bounds", "fold_max", "fold_min"]
 
 
-# ----------------------------------------------------------------------
-# pure-python backend
-# ----------------------------------------------------------------------
-def _py_comm_cost_row(
+def comm_cost_row(
     hops_row: Sequence[int],
     alive: Sequence[int],
     cost_of: Callable[[int], int],
@@ -98,7 +51,7 @@ def _py_comm_cost_row(
     return out
 
 
-def _py_edge_bounds(
+def edge_bounds(
     finishes: Sequence[int],
     comms: Sequence[int],
     starts: Sequence[int],
@@ -122,7 +75,7 @@ def _py_edge_bounds(
     return bounds, None
 
 
-def _py_fold_max(
+def fold_max(
     rows_consts: Sequence[tuple[Sequence, int]],
     pes: Sequence[int],
     base: int,
@@ -141,7 +94,7 @@ def _py_fold_max(
     return out
 
 
-def _py_fold_min(
+def fold_min(
     rows_consts: Sequence[tuple[Sequence, int]],
     pes: Sequence[int],
 ) -> list[int]:
@@ -156,135 +109,3 @@ def _py_fold_min(
             if v < out[j]:
                 out[j] = v
     return out
-
-
-# ----------------------------------------------------------------------
-# numpy backend (int64 throughout; ceil division matches -(-a // b))
-# ----------------------------------------------------------------------
-def _np_comm_cost_row(
-    hops_row: Sequence[int],
-    alive: Sequence[int],
-    cost_of: Callable[[int], int],
-    n: int,
-) -> list:
-    hops = _np.asarray(hops_row, dtype=_np.int64)[
-        _np.asarray(alive, dtype=_np.intp)
-    ]
-    uniq = _np.unique(hops)
-    lookup = _np.empty(int(uniq[-1]) + 1 if uniq.size else 1, dtype=_np.int64)
-    for h in uniq.tolist():
-        lookup[h] = cost_of(h)
-    costs = lookup[hops].tolist()
-    out: list = [None] * n
-    for p, cost in zip(alive, costs):
-        out[p] = cost
-    return out
-
-
-def _np_edge_bounds(
-    finishes: Sequence[int],
-    comms: Sequence[int],
-    starts: Sequence[int],
-    delays: Sequence[int],
-) -> tuple[list[int], int | None]:
-    if not len(delays):
-        return [], None
-    f = _np.asarray(finishes, dtype=_np.int64)
-    m = _np.asarray(comms, dtype=_np.int64)
-    s = _np.asarray(starts, dtype=_np.int64)
-    d = _np.asarray(delays, dtype=_np.int64)
-    slack = f + m + 1 - s
-    zero = d == 0
-    violated = zero & (slack > 0)
-    if violated.any():
-        return [], int(_np.argmax(violated))
-    bounds = _np.where(zero, 0, -(-slack // _np.where(zero, 1, d)))
-    return bounds.tolist(), None
-
-
-def _np_rows_matrix(
-    rows_consts: Sequence[tuple[Sequence, int]], pes: Sequence[int]
-):
-    """Stack constraint rows gathered at ``pes`` into a (k, |pes|)
-    int64 matrix, or ``None`` when some row holds ``None`` entries a
-    direct conversion would choke on (degraded topologies)."""
-    idx = _np.asarray(pes, dtype=_np.intp)
-    gathered = []
-    for row, _const in rows_consts:
-        try:
-            arr = _np.asarray(row, dtype=_np.int64)
-        except (TypeError, ValueError):
-            return None
-        gathered.append(arr[idx])
-    return _np.stack(gathered)
-
-
-def _np_fold_max(
-    rows_consts: Sequence[tuple[Sequence, int]],
-    pes: Sequence[int],
-    base: int,
-) -> list[int]:
-    if not rows_consts:
-        return [base] * len(pes)
-    matrix = _np_rows_matrix(rows_consts, pes)
-    if matrix is None:
-        return _py_fold_max(rows_consts, pes, base)
-    consts = _np.asarray(
-        [c for _row, c in rows_consts], dtype=_np.int64
-    ).reshape(-1, 1)
-    out = (matrix + consts).max(axis=0)
-    return _np.maximum(out, base).tolist()
-
-
-def _np_fold_min(
-    rows_consts: Sequence[tuple[Sequence, int]],
-    pes: Sequence[int],
-) -> list[int]:
-    matrix = _np_rows_matrix(rows_consts, pes)
-    if matrix is None:
-        return _py_fold_min(rows_consts, pes)
-    consts = _np.asarray(
-        [c for _row, c in rows_consts], dtype=_np.int64
-    ).reshape(-1, 1)
-    return (consts - matrix).min(axis=0).tolist()
-
-
-# ----------------------------------------------------------------------
-# backend handles
-# ----------------------------------------------------------------------
-class _Backend:
-    """One named kernel set (importable for the dual-backend tests)."""
-
-    __slots__ = ("name", "comm_cost_row", "edge_bounds", "fold_max", "fold_min")
-
-    def __init__(self, name, comm_cost_row, edge_bounds, fold_max, fold_min):
-        self.name = name
-        self.comm_cost_row = comm_cost_row
-        self.edge_bounds = edge_bounds
-        self.fold_max = fold_max
-        self.fold_min = fold_min
-
-
-#: The pure-python kernel set (always available).
-py_kernels = _Backend(
-    "python", _py_comm_cost_row, _py_edge_bounds, _py_fold_max, _py_fold_min
-)
-
-#: The numpy kernel set (``None`` when numpy is unavailable or the
-#: python backend was forced).
-np_kernels = (
-    _Backend(
-        "numpy", _np_comm_cost_row, _np_edge_bounds, _np_fold_max, _np_fold_min
-    )
-    if _np is not None
-    else None
-)
-
-_active = np_kernels if np_kernels is not None else py_kernels
-
-#: Module-level aliases bound to the active backend at import time —
-#: the hot paths call these without any per-call dispatch.
-comm_cost_row = _active.comm_cost_row
-edge_bounds = _active.edge_bounds
-fold_max = _active.fold_max
-fold_min = _active.fold_min

@@ -10,9 +10,10 @@ workloads:
     and reference engines), ETF, sequential — passes the ground-truth
     validator.
 ``design-criterion``
-    The DESIGN correctness criterion re-checked *verbatim and
-    independently* of the validator: for every edge,
-    ``CB(v) + d·L >= CE(u) + M + 1`` with ``M`` recomputed from
+    The DESIGN correctness criterion re-checked *independently* of the
+    validator by the RA4xx certificate
+    (:func:`repro.analyze.schedule_cert.certify_schedule`): for every
+    edge, ``CB(v) + d·L >= CE(u) + M + 1`` with ``M`` recomputed from
     ``arch.hops`` and the cost model (oracle diversity: a bug in the
     validator's edge walk cannot hide here).
 ``engines-equivalent``
@@ -45,17 +46,11 @@ workloads:
     inputs it passes never yield a validator-illegal schedule (and its
     RA4xx certificate checker reaches the validator's verdict); inputs
     it rejects make the pipeline refuse with a typed error.
-``kernels-agree``
-    The two batched-kernel backends (:mod:`repro.core.kernels`) are
-    exactly equal — comm-cost rows, PSL edge bounds and the per-PE
-    anticipation folds, on data derived from the sampled graph and
-    architecture (including degraded rows holding ``None``).  Vacuous
-    when only one backend is importable.
 ``contention-legal``
     The two-phase contention pipeline
     (:func:`repro.core.pipeline.contention_aware_schedule`) with a
     sampled contention model: the winner validates under the contended
-    cache it carries, the DESIGN criterion holds with ``M`` re-derived
+    cache it carries, the certificate holds with ``M`` re-derived
     independently from hops x cost model x frozen occupancy, and the
     contended bill never exceeds the contention-blind baseline's.
 ``sanitizer-agrees``
@@ -75,13 +70,8 @@ import random
 from fractions import Fraction
 from typing import Callable
 
-from repro.arch.comm import (
-    ContentionModel,
-    ScaledContention,
-    SerializedContention,
-)
-from repro.arch.contention import LinkOccupancy
-from repro.arch.routing import route as _route
+from repro.analyze.schedule_cert import certify_schedule
+from repro.arch.comm import ScaledContention, SerializedContention
 from repro.arch.topology import Architecture
 from repro.baselines.etf import etf_schedule
 from repro.baselines.exact import exact_minimum_length
@@ -102,7 +92,6 @@ __all__ = [
     "PropertyFn",
     "check_property",
     "check_all",
-    "design_criterion_violations",
     "architecture_automorphism",
 ]
 
@@ -120,35 +109,15 @@ def _compact(
     return cyclo_compact(graph, arch, config=cfg)
 
 
-def design_criterion_violations(
-    graph: CSDFG, arch: Architecture, schedule: ScheduleTable
+def _certificate_errors(
+    graph: CSDFG, arch: Architecture, schedule: ScheduleTable, **kwargs
 ) -> list[str]:
-    """The DESIGN criterion, verbatim: ``CB(v) + d·L >= CE(u) + M + 1``.
-
-    Deliberately *not* implemented via the validator: ``M`` comes
-    straight from ``arch.hops`` and the cost model, ``CE`` from
-    ``CB + t - 1``, so this is an independent oracle for the
-    precedence/communication inequality.
-    """
-    problems: list[str] = []
-    L = schedule.length
-    for edge in graph.edges():
-        if edge.src not in schedule or edge.dst not in schedule:
-            problems.append(
-                f"edge ({edge.src!r}, {edge.dst!r}): endpoint unscheduled"
-            )
-            continue
-        pu = schedule.placement(edge.src)
-        pv = schedule.placement(edge.dst)
-        cb_v = pv.start
-        ce_u = pu.start + pu.duration - 1
-        m = arch.comm_model.cost(arch.hops(pu.pe, pv.pe), edge.volume)  # repro-lint: disable=RL103 (independent oracle)
-        if cb_v + edge.delay * L < ce_u + m + 1:
-            problems.append(
-                f"design criterion: CB({edge.dst!r})={cb_v} + "
-                f"{edge.delay}*{L} < CE({edge.src!r})={ce_u} + M={m} + 1"
-            )
-    return problems
+    """The error findings of the RA4xx certificate, one string each."""
+    return [
+        f"{d.code}: {d.message}"
+        for d in certify_schedule(graph, arch, schedule, **kwargs)
+        if d.severity == "error"
+    ]
 
 
 def architecture_automorphism(
@@ -241,7 +210,9 @@ def prop_design_criterion(
         ("startup", graph, result.initial_schedule),
         ("compacted", result.graph, result.schedule),
     ):
-        for v in design_criterion_violations(g, arch, schedule):
+        for v in _certificate_errors(
+            g, arch, schedule, pipelined_pes=cfg.pipelined_pes
+        ):
             problems.append(f"{label}: {v}")
     return problems
 
@@ -457,7 +428,7 @@ def prop_analyzer_agrees(
     must reach the validator's verdict on it.  Analyzer-error: the
     pipeline must refuse, and with a typed error.
     """
-    from repro.analyze import analyze_inputs, certify_schedule
+    from repro.analyze import analyze_inputs
     from repro.errors import ReproError
 
     report = analyze_inputs(graph, arch, config=cfg)
@@ -513,163 +484,6 @@ def prop_analyzer_agrees(
     return problems
 
 
-def prop_kernels_agree(
-    graph: CSDFG, arch: Architecture, cfg: CycloConfig, rng: random.Random
-) -> list[str]:
-    """Both kernel backends agree exactly on sample-derived inputs.
-
-    Inputs come from the fuzz sample itself — the architecture's
-    distance matrix and cost model, the graph's edge volumes and
-    delays — so the comparison covers the value ranges the engine
-    actually feeds the kernels, not synthetic ones.  Vacuously true
-    when numpy is unavailable (or the python backend was forced).
-    """
-    from repro.core.kernels import np_kernels, py_kernels
-
-    if np_kernels is None:
-        return []
-    problems: list[str] = []
-    pes = list(arch.processors)
-    n = arch.num_pes
-    # the oracle needs the raw hop-cost model: comm_cost_row's cost_of
-    # contract is per-hop-count, same as the cache's internal caller
-    model_cost = arch.comm_model.cost  # repro-lint: disable=RL103
-    dist = arch.distance_matrix
-    volumes = sorted({e.volume for e in graph.edges()}) or [1]
-
-    def check(kernel: str, a, b, detail: str) -> None:
-        if a != b:
-            problems.append(
-                f"{kernel} backends disagree ({detail}): "
-                f"python={a!r} numpy={b!r}"
-            )
-
-    for src in rng.sample(pes, min(3, len(pes))):
-        hops_row = [int(dist[src][p]) for p in range(n)]
-        for vol in volumes:
-            def cost_of(hops: int, _vol: int = vol) -> int:
-                return model_cost(hops, _vol)
-
-            check(
-                "comm_cost_row",
-                py_kernels.comm_cost_row(hops_row, pes, cost_of, n),
-                np_kernels.comm_cost_row(hops_row, pes, cost_of, n),
-                f"src={src} volume={vol}",
-            )
-
-    edges = list(graph.edges())
-    if edges:
-        finishes = [rng.randint(0, 30) for _ in edges]
-        comms = [
-            model_cost(rng.randint(0, arch.diameter), e.volume)
-            for e in edges
-        ]
-        starts = [rng.randint(0, 30) for _ in edges]
-        delays = [e.delay for e in edges]
-        check(
-            "edge_bounds",
-            py_kernels.edge_bounds(finishes, comms, starts, delays),
-            np_kernels.edge_bounds(finishes, comms, starts, delays),
-            f"{len(edges)} edges",
-        )
-
-    rows_consts = [
-        (
-            [
-                model_cost(int(dist[rng.choice(pes)][p]), rng.choice(volumes))
-                for p in range(n)
-            ],
-            rng.randint(0, 10),
-        )
-        for _ in range(3)
-    ]
-    base = rng.randint(0, 5)
-    check(
-        "fold_max",
-        py_kernels.fold_max(rows_consts, pes, base),
-        np_kernels.fold_max(rows_consts, pes, base),
-        f"{len(rows_consts)} rows, base={base}",
-    )
-    check(
-        "fold_min",
-        py_kernels.fold_min(rows_consts, pes),
-        np_kernels.fold_min(rows_consts, pes),
-        f"{len(rows_consts)} rows",
-    )
-    if n > 1:
-        # degraded topology: one dead PE's entries are None and the PE
-        # is excluded from the gather — numpy must fall back, outputs
-        # must still match exactly
-        dead = rng.choice(pes)
-        alive = [p for p in pes if p != dead]
-        degraded = [
-            ([None if p == dead else v for p, v in enumerate(row)], const)
-            for row, const in rows_consts
-        ]
-        check(
-            "fold_max",
-            py_kernels.fold_max(degraded, alive, base),
-            np_kernels.fold_max(degraded, alive, base),
-            f"degraded pe={dead}",
-        )
-        check(
-            "fold_min",
-            py_kernels.fold_min(degraded, alive),
-            np_kernels.fold_min(degraded, alive),
-            f"degraded pe={dead}",
-        )
-    return problems
-
-
-def contended_design_criterion_violations(
-    graph: CSDFG,
-    arch: Architecture,
-    schedule: ScheduleTable,
-    model: ContentionModel,
-    occupancy: LinkOccupancy | None,
-) -> list[str]:
-    """The DESIGN criterion under contended pricing, re-derived
-    independently of the cache: ``M = price(base, load)`` with ``base``
-    straight from ``arch.hops`` x the cost model and ``load`` read off
-    the frozen occupancy's per-link ledger along the deterministic
-    route.  ``occupancy=None`` degrades to the contention-free oracle.
-    """
-    if occupancy is None:
-        return design_criterion_violations(graph, arch, schedule)
-    loads = occupancy.loads
-    problems: list[str] = []
-    L = schedule.length
-    for edge in graph.edges():
-        if edge.src not in schedule or edge.dst not in schedule:
-            problems.append(
-                f"edge ({edge.src!r}, {edge.dst!r}): endpoint unscheduled"
-            )
-            continue
-        pu = schedule.placement(edge.src)
-        pv = schedule.placement(edge.dst)
-        cb_v = pv.start
-        ce_u = pu.start + pu.duration - 1
-        base = arch.comm_model.cost(arch.hops(pu.pe, pv.pe), edge.volume)  # repro-lint: disable=RL103 (independent oracle)
-        if base == 0:
-            m = 0
-        else:
-            path = _route(arch, pu.pe, pv.pe)
-            load = max(
-                (
-                    loads.get((min(a, b), max(a, b)), 0)
-                    for a, b in zip(path, path[1:])
-                ),
-                default=0,
-            )
-            m = model.price(base, load)
-        if cb_v + edge.delay * L < ce_u + m + 1:
-            problems.append(
-                f"contended design criterion: CB({edge.dst!r})={cb_v} + "
-                f"{edge.delay}*{L} < CE({edge.src!r})={ce_u} + M={m} + 1"
-            )
-    return problems
-
-
 def prop_contention_legal(
     graph: CSDFG,
     arch: Architecture,
@@ -697,12 +511,17 @@ def prop_contention_legal(
     ):
         problems.append(f"[{model.name}] contended validator: {violation}")
 
-    # DESIGN criterion with M re-derived independently of the cache
+    # the certificate, with M re-derived independently of the cache
     occupancy = result.comm.occupancy if result.comm is not None else None
-    for violation in contended_design_criterion_violations(
-        result.graph, arch, result.schedule, model, occupancy
+    for violation in _certificate_errors(
+        result.graph,
+        arch,
+        result.schedule,
+        pipelined_pes=cfg.pipelined_pes,
+        model=model,
+        occupancy=occupancy,
     ):
-        problems.append(f"[{model.name}] {violation}")
+        problems.append(f"[{model.name}] contended {violation}")
 
     # the baseline competes, so the winner can never bill higher
     if result.final_cost > result.blind_cost:
@@ -768,7 +587,6 @@ PROPERTIES: dict[str, PropertyFn] = {
     "retiming-legality": prop_retiming_legality,
     "bounds": prop_bounds,
     "analyzer-agrees": prop_analyzer_agrees,
-    "kernels-agree": prop_kernels_agree,
     "contention-legal": prop_contention_legal,
     "sanitizer-agrees": prop_sanitizer_agrees,
 }

@@ -126,28 +126,47 @@ class CompactionCheckpoint:
             raise CheckpointError(
                 f"unsupported checkpoint version {data.get('version')!r}"
             )
-        return cls(
-            workload=data["workload"],
-            arch_name=data["arch_name"],
-            num_nodes=data["num_nodes"],
-            num_pes=data["num_pes"],
-            config=CycloConfig.from_dict(data["config"]),
-            completed_passes=data["completed_passes"],
-            stall=data["stall"],
-            trace=CompactionTrace.from_dict(data["trace"]),
-            working_schedule=data["working_schedule"],
-            best_schedule=data["best_schedule"],
-            initial_schedule=data["initial_schedule"],
-            working_retiming=dict(data["working_retiming"]),
-            best_retiming=dict(data["best_retiming"]),
-        )
+        try:
+            return cls(
+                workload=data["workload"],
+                arch_name=data["arch_name"],
+                num_nodes=data["num_nodes"],
+                num_pes=data["num_pes"],
+                config=CycloConfig.from_dict(data["config"]),
+                completed_passes=data["completed_passes"],
+                stall=data["stall"],
+                trace=CompactionTrace.from_dict(data["trace"]),
+                working_schedule=data["working_schedule"],
+                best_schedule=data["best_schedule"],
+                initial_schedule=data["initial_schedule"],
+                working_retiming=dict(data["working_retiming"]),
+                best_retiming=dict(data["best_retiming"]),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(
+                f"malformed checkpoint ({type(exc).__name__}: {exc})"
+            ) from None
 
     def to_json(self, **dumps_kwargs) -> str:
         return json.dumps(self.to_dict(), **dumps_kwargs)
 
     @classmethod
     def from_json(cls, text: str) -> "CompactionCheckpoint":
-        return cls.from_dict(json.loads(text))
+        """Parse a checkpoint; a torn or foreign document raises
+        :class:`~repro.errors.CheckpointError`, never a raw decode
+        error."""
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise CheckpointError(
+                f"checkpoint is not valid JSON (torn write?): {exc}"
+            ) from None
+        if not isinstance(data, dict):
+            raise CheckpointError(
+                f"not a compaction checkpoint (a JSON "
+                f"{type(data).__name__}, expected an object)"
+            )
+        return cls.from_dict(data)
 
     def save(self, path: str | Path) -> Path:
         path = Path(path)
@@ -156,7 +175,12 @@ class CompactionCheckpoint:
 
     @classmethod
     def load(cls, path: str | Path) -> "CompactionCheckpoint":
-        return cls.from_json(Path(path).read_text())
+        """Read a checkpoint file; parse failures name ``path``."""
+        path = Path(path)
+        try:
+            return cls.from_json(path.read_text())
+        except CheckpointError as exc:
+            raise CheckpointError(f"{path}: {exc}") from None
 
 
 def resume_compaction(

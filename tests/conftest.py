@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.arch import CompletelyConnected, LinearArray, Mesh2D
 from repro.graph import CSDFG
 from repro.obs import metrics, remove_all_sinks
@@ -17,6 +20,28 @@ def _obs_isolation():
     yield
     remove_all_sinks()
     metrics.reset()
+
+
+#: The shipped package, as ``repro lint`` / ``repro analyze --flow``
+#: see it with no path arguments.
+PACKAGE_DIR = Path(repro.__file__).parent
+
+
+@pytest.fixture(scope="session")
+def shipped_flow_report():
+    """One flow analysis of the shipped tree, shared by every test that
+    only reads the report (the analysis is deterministic)."""
+    from repro.analyze import analyze_flow
+
+    return analyze_flow([PACKAGE_DIR])
+
+
+@pytest.fixture(scope="session")
+def shipped_lint_report():
+    """One lint of the shipped tree, shared like the flow report."""
+    from repro.analyze import lint_paths
+
+    return lint_paths([PACKAGE_DIR])
 
 
 @pytest.fixture

@@ -5,17 +5,17 @@ every optimiser mode::
 
     CB(v) + d(u, v) * L  >=  CE(u) + M(PE(u), PE(v); c(u, v)) + 1
 
-checked by :func:`repro.qa.design_criterion_violations`, which
-recomputes ``M`` straight from ``arch.hops`` and the cost model —
+checked by the RA4xx certificate (:func:`repro.analyze.certify_schedule`),
+which recomputes ``M`` straight from ``arch.hops`` and the cost model —
 deliberately independent of the schedule validator, so the two oracles
 cover each other.
 """
 
 from hypothesis import given, settings
 
+from repro.analyze import certify_schedule
 from repro.core import CycloConfig, cyclo_compact
 from repro.perf.reference import reference_cyclo_compact
-from repro.qa import design_criterion_violations
 
 from .conftest import architectures, csdfgs
 
@@ -33,11 +33,17 @@ MODES = {
 
 
 def _assert_criterion(graph, arch, result, label):
+    pipelined = label == "pipelined"
     for tag, g, schedule in (
         ("startup", graph, result.initial_schedule),
         ("compacted", result.graph, result.schedule),
     ):
-        violations = design_criterion_violations(g, arch, schedule)
+        violations = [
+            d.render()
+            for d in certify_schedule(g, arch, schedule,
+                                      pipelined_pes=pipelined)
+            if d.severity == "error"
+        ]
         assert violations == [], f"{label}/{tag}: {violations}"
 
 

@@ -156,7 +156,7 @@ class TestListRules:
                      "determinism flow", "engine contracts"):
             assert head in out
         for code in ("RA101", "RL101", "RL109",
-                     "RD101", "RD104", "RC201", "RC204"):
+                     "RD101", "RD104", "RC201", "RC203"):
             assert code in out
 
     def test_shows_severity_and_title(self, capsys):
@@ -168,10 +168,17 @@ class TestListRules:
 
 
 class TestFlowCommand:
-    def test_shipped_tree_is_clean(self, capsys):
-        assert main(["analyze", "--flow"]) == 0
-        out = capsys.readouterr().out
-        assert "0 error(s)" in out
+    def test_shipped_tree_is_clean(self, tmp_path, capsys):
+        out_path = tmp_path / "flow.sarif"
+        assert main([
+            "analyze", "--flow", "--format", "sarif",
+            "--out", str(out_path),
+        ]) == 0
+        assert "0 error(s)" in capsys.readouterr().out
+        sarif = json.loads(out_path.read_text())
+        assert sarif["version"] == "2.1.0"
+        results = [r for run in sarif["runs"] for r in run["results"]]
+        assert [r for r in results if r["level"] == "error"] == []
 
     def test_explicit_paths(self, tmp_path, capsys):
         victim = tmp_path / "repro" / "perf" / "driver.py"
@@ -187,16 +194,6 @@ class TestFlowCommand:
         assert main(["analyze", "--flow", str(victim)]) == 1
         out = capsys.readouterr().out
         assert "RD101" in out
-
-    def test_flow_sarif_output(self, tmp_path, capsys):
-        out_path = tmp_path / "flow.sarif"
-        assert main([
-            "analyze", "--flow", "--format", "sarif",
-            "--out", str(out_path),
-        ]) == 0
-        capsys.readouterr()
-        sarif = json.loads(out_path.read_text())
-        assert sarif["version"] == "2.1.0"
 
 
 class TestSanitizeCommand:

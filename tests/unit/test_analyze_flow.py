@@ -354,47 +354,6 @@ class TestRC203CacheInHotLoop:
         assert codes(report) == [] and report.suppressed == 1
 
 
-class TestRC204BackendBranchOutsideKernels:
-    def test_backend_reference(self, tmp_path):
-        report = run(tmp_path, {"core/fast.py": (
-            "from repro.core.kernels import BACKEND\n"
-            "def pick(rows):\n"
-            "    if BACKEND == 'numpy':\n"
-            "        return rows\n"
-            "    return list(rows)\n"
-        )})
-        assert "RC204" in codes(report)
-
-    def test_guarded_numpy_import(self, tmp_path):
-        report = run(tmp_path, {"perf/fast.py": (
-            "try:\n"
-            "    import numpy as np\n"
-            "except ImportError:\n"
-            "    np = None\n"
-            "def rows(xs):\n"
-            "    return xs\n"
-        )})
-        assert "RC204" in codes(report)
-
-    def test_env_pin_read(self, tmp_path):
-        report = run(tmp_path, {"obs/pin.py": (
-            "import os\n"
-            "def backend_name():\n"
-            "    return os.environ.get('REPRO_KERNELS', 'numpy')\n"
-        )})
-        assert "RC204" in codes(report)
-
-    def test_qa_oracles_are_allowlisted(self, tmp_path):
-        report = run(tmp_path, {"qa/oracle.py": (
-            "from repro.core.kernels import np_kernels, py_kernels\n"
-            "def agree(rows):\n"
-            "    if np_kernels is None:\n"
-            "        return True\n"
-            "    return np_kernels == py_kernels\n"
-        )})
-        assert "RC204" not in codes(report)
-
-
 class TestEngineBehaviour:
     def test_missing_path_is_analysis_error(self, tmp_path):
         with pytest.raises(AnalysisError, match="no such file"):
@@ -438,15 +397,11 @@ class TestEngineBehaviour:
 
 
 class TestShippedTree:
-    SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
-
-    def test_zero_flow_errors(self):
-        report = analyze_flow([self.SRC])
-        assert [d for d in report.diagnostics
+    def test_zero_flow_errors(self, shipped_flow_report):
+        assert [d for d in shipped_flow_report.diagnostics
                 if d.severity == "error"] == []
 
-    def test_documented_suppressions_present(self):
+    def test_documented_suppressions_present(self, shipped_flow_report):
         # the contention fixpoint's per-round reprice (RC203 x2) and
         # the deadline budget checks in cyclo (RD103 x2)
-        report = analyze_flow([self.SRC])
-        assert report.suppressed == 4
+        assert shipped_flow_report.suppressed == 4

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.analyze import infer_module, lint_paths, lint_source
+from repro.analyze import infer_module, lint_source
 from repro.cli import main
 from repro.errors import AnalysisError
 
@@ -259,15 +259,14 @@ class TestSuppression:
 
 
 class TestShippedTree:
-    def test_zero_error_baseline(self):
-        report = lint_paths([PACKAGE_DIR])
+    def test_zero_error_baseline(self, shipped_lint_report):
+        report = shipped_lint_report
         assert report.errors == [], report.describe()
 
-    def test_baseline_has_documented_suppressions(self):
-        # the deliberate sites (deadline budget in cyclo, the qa
-        # design-criterion oracle, the analyzer's own re-derivation)
-        report = lint_paths([PACKAGE_DIR])
-        assert report.suppressed >= 4
+    def test_baseline_has_documented_suppressions(self, shipped_lint_report):
+        # the deliberate sites (deadline budget in cyclo, the
+        # certificate's own re-derivation, ...)
+        assert shipped_lint_report.suppressed >= 4
 
     def test_cli_lint_exits_zero(self, capsys):
         assert main(["lint"]) == 0

@@ -53,7 +53,7 @@ class TestCatalogue:
             "RL101", "RL102", "RL103", "RL104", "RL105", "RL106",
             "RL107", "RL108", "RL109",
             "RD101", "RD102", "RD103", "RD104",
-            "RC201", "RC202", "RC203", "RC204",
+            "RC201", "RC202", "RC203",
         }
 
     def test_make_uses_catalogue_defaults(self):

@@ -1,17 +1,25 @@
 """Unit tests for the RA4xx schedule certificate checker.
 
-The checker is the third independent implementation of the DESIGN §1
-criterion, so every test cross-checks its verdict against the runtime
-validator: they must agree on legal *and* on broken schedules.
+The checker is the one independent re-derivation of the DESIGN §1
+criterion outside the runtime validator, so every test cross-checks
+its verdict against the validator: they must agree on legal *and* on
+broken schedules, contention-free and under a frozen link occupancy.
 """
 
 import pytest
 
 from repro.analyze import certify_schedule
-from repro.arch import make_architecture
+from repro.arch import (
+    CommCostCache,
+    LinkOccupancy,
+    Ring,
+    SerializedContention,
+    make_architecture,
+)
 from repro.arch.degraded import DegradedTopology
-from repro.core import CycloConfig, cyclo_compact
-from repro.graph import CSDFG
+from repro.core import CycloConfig, contention_aware_schedule, cyclo_compact
+from repro.errors import AnalysisError
+from repro.graph import CSDFG, layered_csdfg
 from repro.schedule import ScheduleTable, collect_violations
 
 
@@ -189,3 +197,68 @@ class TestValidatorAgreement:
                 assert bool(validator) == bool(certificate), (
                     seed, validator, [d.render() for d in certificate]
                 )
+
+
+class TestContendedCertificate:
+    """Clause 2 priced against a frozen ``LinkOccupancy``:
+    ``M = model.price(base, busiest link load on the route)``."""
+
+    MODEL = SerializedContention(weight=1)
+
+    def tight_case(self):
+        # a (CE=2) -> b across one ring hop, c=2: base M = 2, so b at
+        # cs 5 meets CB >= CE + M + 1 with zero slack
+        arch = Ring(4)
+        table = ScheduleTable(4, length=20)
+        table.place("a", pe=0, start=1, duration=2)
+        table.place("b", pe=1, start=5, duration=1)
+        return arch, table
+
+    def test_clean_without_occupancy_ra403_with_it(self, chain):
+        arch, table = self.tight_case()
+        assert errors(certify_schedule(chain, arch, table)) == []
+        occupancy = LinkOccupancy(arch)
+        occupancy.add(0, 1, 3)  # 3 units queued on link pe1-pe2
+        found = errors(certify_schedule(
+            chain, arch, table, model=self.MODEL, occupancy=occupancy
+        ))
+        assert codes(found) == ["RA403"]
+        assert found[0].edge == ("a", "b")
+        assert "M=5" in found[0].message  # price(2, 3) = 2 + 1*3
+        # the validator agrees under the cache priced the same way
+        comm = CommCostCache.for_graph(
+            arch, chain, contention=self.MODEL, occupancy=occupancy
+        )
+        assert collect_violations(chain, arch, table, comm=comm)
+        assert collect_violations(chain, arch, table) == []
+
+    def test_load_off_the_route_is_free(self, chain):
+        arch, table = self.tight_case()
+        occupancy = LinkOccupancy(arch)
+        occupancy.add(2, 3, 9)  # busy, but not on the pe1 -> pe2 route
+        assert errors(certify_schedule(
+            chain, arch, table, model=self.MODEL, occupancy=occupancy
+        )) == []
+
+    def test_occupancy_needs_a_model(self, chain):
+        arch, table = self.tight_case()
+        with pytest.raises(AnalysisError, match="needs model"):
+            certify_schedule(chain, arch, table,
+                             occupancy=LinkOccupancy(arch))
+
+    def test_contention_pipeline_winner_certifies(self):
+        # the bottleneck acceptance case of test_contention_pipeline.py
+        graph = layered_csdfg([3, 3, 3, 3], seed=7)
+        arch = Ring(6)
+        cfg = CycloConfig(validate_each_step=False)
+        model = SerializedContention(weight=3)
+        result = contention_aware_schedule(
+            graph, arch, config=cfg, model=model
+        )
+        assert result.comm is not None and result.comm.contended
+        found = certify_schedule(
+            result.graph, arch, result.schedule,
+            pipelined_pes=cfg.pipelined_pes,
+            model=model, occupancy=result.comm.occupancy,
+        )
+        assert errors(found) == [], [d.render() for d in found]

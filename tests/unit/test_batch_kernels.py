@@ -1,49 +1,27 @@
-"""Unit tests for the dual-backend batch kernels (repro.core.kernels).
+"""Unit tests for the batch kernels (repro.core.kernels).
 
-The contract under test is *exact* equality: whatever numpy computes,
-the pure-python fallback computes bit-for-bit, on every kernel, on
-every input shape the engine produces — including degraded rows
-holding ``None`` and the negative/ceil-division edge cases.  On top of
-the raw kernels, one end-to-end case pins that a full compaction run
-publishes **identical obs counters** under either backend (the
-batching must be a pure implementation detail).
+Each kernel is pinned on literal values, including degraded rows
+holding ``None`` and the negative/ceil-division edge cases.  That the
+engines built on these kernels schedule exactly like the verbatim
+reference engine is pinned end to end by
+``tests/integration/test_fastpath_equivalence.py``.
 """
 
-import json
-import random
-import subprocess
-import sys
-from pathlib import Path
-
-import pytest
-
-from repro.core.kernels import BACKEND, BACKENDS, np_kernels, py_kernels
-
-BACKEND_SETS = [py_kernels] + ([np_kernels] if np_kernels else [])
-REPO_SRC = Path(__file__).resolve().parents[2] / "src"
-
-
-def backend_ids():
-    return [b.name for b in BACKEND_SETS]
-
-
-@pytest.fixture(params=BACKEND_SETS, ids=backend_ids())
-def kern(request):
-    return request.param
+from repro.core.kernels import comm_cost_row, edge_bounds, fold_max, fold_min
 
 
 class TestCommCostRow:
-    def test_basic_row(self, kern):
+    def test_basic_row(self):
         hops = [0, 1, 2, 3]
-        row = kern.comm_cost_row(hops, [0, 1, 2, 3], lambda h: 2 * h + 1, 4)
+        row = comm_cost_row(hops, [0, 1, 2, 3], lambda h: 2 * h + 1, 4)
         assert row == [1, 3, 5, 7]
 
-    def test_dead_pes_stay_none(self, kern):
+    def test_dead_pes_stay_none(self):
         hops = [0, 5, 2, 9]
-        row = kern.comm_cost_row(hops, [0, 2], lambda h: h * h, 4)
+        row = comm_cost_row(hops, [0, 2], lambda h: h * h, 4)
         assert row == [0, None, 4, None]
 
-    def test_cost_of_called_once_per_hop_count(self, kern):
+    def test_cost_of_called_once_per_hop_count(self):
         calls = []
 
         def cost_of(h):
@@ -51,170 +29,54 @@ class TestCommCostRow:
             return h + 10
 
         hops = [3, 1, 3, 1, 3, 2]
-        row = kern.comm_cost_row(hops, list(range(6)), cost_of, 6)
+        row = comm_cost_row(hops, list(range(6)), cost_of, 6)
         assert row == [13, 11, 13, 11, 13, 12]
         assert sorted(calls) == [1, 2, 3]
 
-    def test_empty_alive(self, kern):
-        assert kern.comm_cost_row([1, 2], [], lambda h: h, 2) == [None, None]
+    def test_empty_alive(self):
+        assert comm_cost_row([1, 2], [], lambda h: h, 2) == [None, None]
 
 
 class TestEdgeBounds:
-    def test_delayed_edges_ceil_division(self, kern):
+    def test_delayed_edges_ceil_division(self):
         # slack 7 over delay 2 -> ceil(3.5) = 4; negative slack floors
-        bounds, bad = kern.edge_bounds([10, 0], [2, 0], [6, 30], [2, 3])
+        bounds, bad = edge_bounds([10, 0], [2, 0], [6, 30], [2, 3])
         assert bad is None
         assert bounds == [4, -9]
 
-    def test_zero_delay_satisfied(self, kern):
-        bounds, bad = kern.edge_bounds([3], [1], [5], [0])
+    def test_zero_delay_satisfied(self):
+        bounds, bad = edge_bounds([3], [1], [5], [0])
         assert (bounds, bad) == ([0], None)
 
-    def test_zero_delay_violation_short_circuits(self, kern):
-        bounds, bad = kern.edge_bounds(
+    def test_zero_delay_violation_short_circuits(self):
+        bounds, bad = edge_bounds(
             [0, 9, 9], [0, 0, 0], [5, 5, 5], [1, 0, 0]
         )
         assert bounds == [] and bad == 1
 
-    def test_empty(self, kern):
-        assert kern.edge_bounds([], [], [], []) == ([], None)
+    def test_empty(self):
+        assert edge_bounds([], [], [], []) == ([], None)
 
 
 class TestFolds:
-    def test_fold_max(self, kern):
+    def test_fold_max(self):
         rows = [([1, 5, 2], 3), ([4, 0, 0], 1)]
-        assert kern.fold_max(rows, [0, 1, 2], 2) == [5, 8, 5]
+        assert fold_max(rows, [0, 1, 2], 2) == [5, 8, 5]
 
-    def test_fold_max_empty_rows_gives_base(self, kern):
-        assert kern.fold_max([], [0, 1], 7) == [7, 7]
+    def test_fold_max_empty_rows_gives_base(self):
+        assert fold_max([], [0, 1], 7) == [7, 7]
 
-    def test_fold_min(self, kern):
+    def test_fold_min(self):
         rows = [([1, 5, 2], 3), ([4, 0, 0], 10)]
-        assert kern.fold_min(rows, [0, 1, 2]) == [2, -2, 1]
+        assert fold_min(rows, [0, 1, 2]) == [2, -2, 1]
 
-    def test_fold_subset_of_pes(self, kern):
+    def test_fold_subset_of_pes(self):
         rows = [([9, 1, 9, 1], 0)]
-        assert kern.fold_max(rows, [1, 3], 0) == [1, 1]
-        assert kern.fold_min(rows, [3, 1]) == [-1, -1]
+        assert fold_max(rows, [1, 3], 0) == [1, 1]
+        assert fold_min(rows, [3, 1]) == [-1, -1]
 
-    def test_degraded_rows_with_none(self, kern):
-        # dead PE 1 holds None and is excluded from the gather — the
-        # numpy backend must fall back without changing the answer
+    def test_degraded_rows_with_none(self):
+        # dead PE 1 holds None and is excluded from the gather
         rows = [([4, None, 2], 5), ([0, None, 7], 0)]
-        assert kern.fold_max(rows, [0, 2], 1) == [9, 7]
-        assert kern.fold_min(rows, [0, 2]) == [0, -7]
-
-
-@pytest.mark.skipif(np_kernels is None, reason="numpy unavailable")
-class TestBackendsAgree:
-    def test_randomised_equality_sweep(self):
-        rng = random.Random(1234)
-        for trial in range(200):
-            n = rng.randint(1, 40)
-            pes = sorted(rng.sample(range(n), rng.randint(1, n)))
-            hops = [rng.randint(0, 12) for _ in range(n)]
-            factor = rng.randint(1, 9)
-            a = py_kernels.comm_cost_row(
-                hops, pes, lambda h: factor * h + 1, n
-            )
-            b = np_kernels.comm_cost_row(
-                hops, pes, lambda h: factor * h + 1, n
-            )
-            assert a == b, trial
-
-            k = rng.randint(0, 20)
-            f = [rng.randint(-50, 50) for _ in range(k)]
-            m = [rng.randint(0, 20) for _ in range(k)]
-            s = [rng.randint(-50, 50) for _ in range(k)]
-            d = [rng.choice([0, 1, 1, 2, 3, 7]) for _ in range(k)]
-            assert py_kernels.edge_bounds(f, m, s, d) == \
-                np_kernels.edge_bounds(f, m, s, d), trial
-
-            rows = [
-                (
-                    [rng.randint(-30, 30) for _ in range(n)],
-                    rng.randint(-10, 10),
-                )
-                for _ in range(rng.randint(1, 5))
-            ]
-            base = rng.randint(-5, 5)
-            assert py_kernels.fold_max(rows, pes, base) == \
-                np_kernels.fold_max(rows, pes, base), trial
-            assert py_kernels.fold_min(rows, pes) == \
-                np_kernels.fold_min(rows, pes), trial
-
-    def test_large_arrays_agree(self):
-        rng = random.Random(7)
-        n = 4096
-        pes = list(range(n))
-        hops = [rng.randint(0, 64) for _ in range(n)]
-        assert py_kernels.comm_cost_row(hops, pes, lambda h: 3 * h, n) == \
-            np_kernels.comm_cost_row(hops, pes, lambda h: 3 * h, n)
-        f = [rng.randint(0, 10**6) for _ in range(n)]
-        m = [rng.randint(0, 10**3) for _ in range(n)]
-        s = [rng.randint(0, 10**6) for _ in range(n)]
-        d = [rng.randint(1, 9) for _ in range(n)]
-        assert py_kernels.edge_bounds(f, m, s, d) == \
-            np_kernels.edge_bounds(f, m, s, d)
-
-
-_COUNTER_SCRIPT = """
-import json, sys
-from repro.arch import make_architecture
-from repro.core import CycloConfig, cyclo_compact
-from repro.obs import metrics as metrics_mod
-from repro.obs.metrics import REGISTRY
-from repro.workloads import make_workload
-
-metrics_mod.reset()
-graph = make_workload("figure7")
-arch = make_architecture("mesh", 8)
-result = cyclo_compact(
-    graph, arch, config=CycloConfig(max_iterations=30)
-)
-snap = REGISTRY.snapshot()["counters"]
-json.dump(
-    {
-        "backend": __import__("repro.core.kernels", fromlist=["BACKEND"]).BACKEND,
-        "final_length": result.final_length,
-        "stop_reason": result.stop_reason,
-        "counters": snap,
-    },
-    sys.stdout,
-)
-"""
-
-
-@pytest.mark.skipif(np_kernels is None, reason="numpy unavailable")
-def test_full_run_publishes_identical_counters_either_backend():
-    """The batching is an implementation detail: a full compaction run
-    must publish the same result *and the same obs counters* whichever
-    backend REPRO_KERNELS selects (fresh interpreters, since the
-    backend binds at import time)."""
-    outs = {}
-    for backend in BACKENDS:
-        proc = subprocess.run(
-            [sys.executable, "-c", _COUNTER_SCRIPT],
-            capture_output=True,
-            text=True,
-            env={
-                "PYTHONPATH": str(REPO_SRC),
-                "REPRO_KERNELS": backend,
-                "PATH": "/usr/bin:/bin",
-            },
-            check=True,
-        )
-        outs[backend] = json.loads(proc.stdout)
-    py, np_ = outs["python"], outs["numpy"]
-    assert py["backend"] == "python" and np_["backend"] == "numpy"
-    assert py["final_length"] == np_["final_length"]
-    assert py["stop_reason"] == np_["stop_reason"]
-    assert py["counters"] == np_["counters"]
-
-
-def test_active_backend_matches_availability():
-    assert BACKEND in BACKENDS
-    if np_kernels is None:
-        assert BACKEND == "python"
-    else:
-        assert py_kernels.name == "python" and np_kernels.name == "numpy"
+        assert fold_max(rows, [0, 2], 1) == [9, 7]
+        assert fold_min(rows, [0, 2]) == [0, -7]

@@ -96,3 +96,31 @@ class TestGuards:
         data["version"] = 99
         with pytest.raises(CheckpointError, match="version"):
             CompactionCheckpoint.from_dict(data)
+
+    def _saved(self, tmp_path):
+        graph = figure1_csdfg()
+        partial = cyclo_compact(graph, ARCH, config=PARTIAL)
+        ckpt = CompactionCheckpoint.capture(partial, graph, ARCH, PARTIAL)
+        return ckpt.save(tmp_path / "run.ckpt.json")
+
+    def test_torn_file_is_a_located_checkpoint_error(self, tmp_path):
+        path = self._saved(tmp_path)
+        text = path.read_text()
+        path.write_text(text[: len(text) // 2])  # a write cut mid-file
+        with pytest.raises(CheckpointError, match="not valid JSON") as info:
+            CompactionCheckpoint.load(path)
+        assert str(path) in str(info.value)
+
+    def test_foreign_json_is_a_located_checkpoint_error(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2, 3]\n")
+        with pytest.raises(CheckpointError, match="JSON list") as info:
+            CompactionCheckpoint.load(path)
+        assert str(path) in str(info.value)
+
+    def test_missing_field_is_a_checkpoint_error(self, tmp_path):
+        path = self._saved(tmp_path)
+        data = CompactionCheckpoint.load(path).to_dict()
+        del data["trace"]
+        with pytest.raises(CheckpointError, match="malformed.*trace"):
+            CompactionCheckpoint.from_dict(data)

@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from repro.analyze import certify_schedule
 from repro.arch import make_architecture
 from repro.baselines import etf_schedule
 from repro.core import CycloConfig, cyclo_compact
@@ -19,7 +20,6 @@ from repro.qa import (
     architecture_automorphism,
     check_all,
     check_property,
-    design_criterion_violations,
 )
 from repro.schedule import ScheduleTable
 
@@ -45,10 +45,17 @@ class TestPropertiesHold:
             check_property("nope", figure1, mesh2x2, CFG)
 
 
+def certificate_errors(graph, arch, schedule):
+    return [
+        d for d in certify_schedule(graph, arch, schedule)
+        if d.severity == "error"
+    ]
+
+
 class TestDesignCriterionOracle:
     def test_holds_on_a_real_compaction(self, figure1, mesh2x2):
         result = cyclo_compact(figure1, mesh2x2, config=CFG)
-        assert design_criterion_violations(
+        assert certificate_errors(
             result.graph, mesh2x2, result.schedule
         ) == []
 
@@ -60,15 +67,17 @@ class TestDesignCriterionOracle:
         broken.place("a", 0, 1, 1)
         broken.place("b", 1, 1, 1)
         broken.set_length(2)
-        problems = design_criterion_violations(tiny_loop, arch, broken)
-        assert problems and "design criterion" in problems[0]
+        problems = certificate_errors(tiny_loop, arch, broken)
+        assert [d.code for d in problems] == ["RA403"]
+        assert "CB=1 + 0*2 < CE=1 + M=" in problems[0].message
 
     def test_fires_on_unscheduled_endpoint(self, tiny_loop):
         arch = make_architecture("linear", 2)
         empty = ScheduleTable(2, name="empty")
         empty.set_length(1)
-        problems = design_criterion_violations(tiny_loop, arch, empty)
-        assert problems and "unscheduled" in problems[0]
+        problems = certificate_errors(tiny_loop, arch, empty)
+        assert problems and {d.code for d in problems} == {"RA401"}
+        assert "is not scheduled" in problems[0].message
 
 
 class TestArchitectureAutomorphism:

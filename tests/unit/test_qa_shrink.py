@@ -116,6 +116,20 @@ class TestInjectedBugEndToEnd:
         violations = replay_case(case)
         assert violations, "shrunk reproducer no longer reproduces the bug"
 
+    def test_certificate_property_alone_catches_it(self, comm_underpricing):
+        # mutation check of the certificate: it prices from arch.hops x
+        # the cost model, never the (broken) cache
+        from repro.qa import run_fuzz
+
+        report = run_fuzz(
+            trials=40, seed=7, properties=("design-criterion",),
+            shrink=False,
+        )
+        assert report.failures, "the certificate missed the injected bug"
+        assert all(
+            "RA403" in v for t in report.failures for v in t.violations
+        )
+
     def test_healthy_code_passes_the_same_seeds(self):
         from repro.qa import run_fuzz
 
