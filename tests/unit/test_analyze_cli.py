@@ -1,5 +1,7 @@
 """Unit tests for the `repro analyze` CLI command."""
 
+import contextlib
+import io
 import json
 
 import pytest
@@ -167,16 +169,25 @@ class TestListRules:
         assert "RL109  warning" in out
 
 
-class TestFlowCommand:
-    def test_shipped_tree_is_clean(self, tmp_path, capsys):
-        out_path = tmp_path / "flow.sarif"
-        assert main([
+@pytest.fixture(scope="class")
+def shipped_flow_cli(tmp_path_factory):
+    """One `repro analyze --flow --format sarif` run over the shipped
+    tree: (exit code, stdout, parsed SARIF)."""
+    out_path = tmp_path_factory.mktemp("flow") / "flow.sarif"
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main([
             "analyze", "--flow", "--format", "sarif",
             "--out", str(out_path),
-        ]) == 0
-        assert "0 error(s)" in capsys.readouterr().out
-        sarif = json.loads(out_path.read_text())
-        assert sarif["version"] == "2.1.0"
+        ])
+    return code, stdout.getvalue(), json.loads(out_path.read_text())
+
+
+class TestFlowCommand:
+    def test_shipped_tree_is_clean(self, shipped_flow_cli):
+        code, out, sarif = shipped_flow_cli
+        assert code == 0
+        assert "0 error(s)" in out
         results = [r for run in sarif["runs"] for r in run["results"]]
         assert [r for r in results if r["level"] == "error"] == []
 
@@ -194,6 +205,11 @@ class TestFlowCommand:
         assert main(["analyze", "--flow", str(victim)]) == 1
         out = capsys.readouterr().out
         assert "RD101" in out
+
+    def test_flow_sarif_output(self, shipped_flow_cli):
+        code, _, sarif = shipped_flow_cli
+        assert code == 0
+        assert sarif["version"] == "2.1.0"
 
 
 class TestSanitizeCommand:
